@@ -15,15 +15,15 @@
 //	mgprof [-out BENCH_pipeline.json] [-iters N]
 //	       [-benches gzip,sha] [-machines baseline,minigraph]
 //	       [-predictor hybrid|tage] [-prefetcher none|delta]
-//	       [-sweep-lats 0,110,...] [-no-sweep] [-gang=false] [-chunked=false]
+//	       [-sweep-lats 0,110,...] [-no-sweep] [-chunked=false]
 //	       [-trace-chunk-records N] [-trace-chunk-window N]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// The JSON schema (v4 — v3 fields unchanged, chunked block added) is
-// documented in the README's Performance section; CI runs mgprof once per
-// push and uploads the artifact, so regressions in simulator throughput,
-// hot-path allocation, the capture/replay split, gang sweep throughput,
-// or bounded-memory chunk streaming overhead are visible in history.
+// The JSON schema (v4: per-pair runs, the sweep block and the chunked
+// block) is documented in the README's Performance section; CI runs mgprof
+// once per push and uploads the artifact, so regressions in simulator
+// throughput, hot-path allocation, the capture/replay split, or
+// bounded-memory chunk streaming overhead are visible in history.
 package main
 
 import (
@@ -42,8 +42,7 @@ import (
 	"minigraph/internal/workload"
 )
 
-// Report is the BENCH_pipeline.json envelope (schema v4: every v3 field
-// kept as-is, plus the chunked sweep measurement).
+// Report is the BENCH_pipeline.json envelope (schema v4).
 type Report struct {
 	Schema     string       `json:"schema"` // "minigraph-bench-pipeline/v4"
 	GoVersion  string       `json:"go_version"`
@@ -52,9 +51,8 @@ type Report struct {
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Runs       []RunStat    `json:"runs"`
 	Totals     Totals       `json:"totals"`
-	Sweep      *SweepStat   `json:"sweep,omitempty"`   // v2
-	Gang       *GangStat    `json:"gang,omitempty"`    // v3
-	Chunked    *ChunkedStat `json:"chunked,omitempty"` // v4
+	Sweep      *SweepStat   `json:"sweep,omitempty"`
+	Chunked    *ChunkedStat `json:"chunked,omitempty"`
 }
 
 // RunStat is one (benchmark, machine) measurement, averaged over the
@@ -102,34 +100,6 @@ type SweepStat struct {
 
 	// Speedup is replay arms/sec (capture included) over live arms/sec.
 	Speedup float64 `json:"speedup"`
-}
-
-// GangStat is the same configuration sweep executed through the engine's
-// gang scheduler (arms sharing a TraceKey interleaved over one shared-
-// decode trace traversal) against the engine's independent per-arm replay
-// path. Both passes run on a cold engine with benchmark preparation warmed
-// outside the clock, so the split isolates exactly what ganging changes:
-// extraction, capture, and the N timing simulations.
-type GangStat struct {
-	Arms         int     `json:"arms"`
-	Gangs        int64   `json:"gangs"`
-	GangArms     int64   `json:"gang_arms"`
-	SharedDecode int64   `json:"shared_decode_records"`
-	Seconds      float64 `json:"seconds"`
-	ArmsPerSec   float64 `json:"arms_per_sec"`
-	AllocsPerArm int64   `json:"allocs_per_arm"`
-
-	// SoloSeconds/SoloArmsPerSec are the identical engine sweep with gang
-	// replay disabled (WithGangReplay(false)) — the like-for-like baseline.
-	SoloSeconds    float64 `json:"solo_seconds"`
-	SoloArmsPerSec float64 `json:"solo_arms_per_sec"`
-
-	// SpeedupVsSoloEngine is gang arms/s over the engine's independent
-	// path; SpeedupVsSoloReplay is gang arms/s over the v2 sweep block's
-	// replay arms/s (the PR 4 baseline the issue targets), when the sweep
-	// block was measured in the same run.
-	SpeedupVsSoloEngine float64 `json:"speedup_vs_solo_engine"`
-	SpeedupVsSoloReplay float64 `json:"speedup_vs_solo_replay,omitempty"`
 }
 
 // ChunkedStat compares the engine sweep with traces fully resident (the
@@ -193,8 +163,7 @@ func main() {
 	predictor := flag.String("predictor", "", "branch predictor for every machine (hybrid tage; empty = presets)")
 	prefetcher := flag.String("prefetcher", "", "data prefetcher for every machine (none delta; empty = presets)")
 	sweepLats := flag.String("sweep-lats", "0,110,120,130,140,150,160,170", "comma-separated DRAM latencies for the sweep")
-	noSweep := flag.Bool("no-sweep", false, "skip the sweep measurements (capture/replay and gang)")
-	gang := flag.Bool("gang", true, "measure the gang sweep (engine gang replay vs independent arms)")
+	noSweep := flag.Bool("no-sweep", false, "skip the sweep measurements (capture/replay and chunked)")
 	chunked := flag.Bool("chunked", true, "measure the chunked sweep (bounded chunk window vs fully-resident traces)")
 	chunkRecords := flag.Int64("trace-chunk-records", 1<<12, "records per trace chunk for the chunked sweep, rounded up to a power of two")
 	chunkWindow := flag.Int("trace-chunk-window", 2, "resident chunks per replay cursor in the chunked sweep's streamed pass")
@@ -209,7 +178,7 @@ func main() {
 	frontend.predictor, frontend.prefetcher = *predictor, *prefetcher
 
 	cw := chunkedSweep{measure: *chunked, records: *chunkRecords, window: *chunkWindow}
-	if err := run(*out, *iters, *benches, *machines, *sweepLats, *noSweep, *gang, cw, *cpuprofile, *memprofile); err != nil {
+	if err := run(*out, *iters, *benches, *machines, *sweepLats, *noSweep, cw, *cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "mgprof:", err)
 		os.Exit(1)
 	}
@@ -222,7 +191,7 @@ type chunkedSweep struct {
 	window  int
 }
 
-func run(out string, iters int, benches, machines, sweepLats string, noSweep, gang bool, cw chunkedSweep, cpuprofile, memprofile string) error {
+func run(out string, iters int, benches, machines, sweepLats string, noSweep bool, cw chunkedSweep, cpuprofile, memprofile string) error {
 	if iters < 1 {
 		iters = 1
 	}
@@ -283,18 +252,6 @@ func run(out string, iters int, benches, machines, sweepLats string, noSweep, ga
 		fmt.Fprintf(os.Stderr, "mgprof: sweep %d arms: replay %.2f arms/s (capture %.3fs + replay %.3fs), live %.2f arms/s, speedup %.2fx\n",
 			sw.Arms, sw.ReplayArmsPerSec, sw.CaptureSeconds, sw.ReplaySeconds, sw.LiveArmsPerSec, sw.Speedup)
 		rep.Sweep = sw
-	}
-	if !noSweep && gang {
-		gs, err := measureGang(benches, lats)
-		if err != nil {
-			return err
-		}
-		if rep.Sweep != nil && rep.Sweep.ReplayArmsPerSec > 0 {
-			gs.SpeedupVsSoloReplay = gs.ArmsPerSec / rep.Sweep.ReplayArmsPerSec
-		}
-		fmt.Fprintf(os.Stderr, "mgprof: gang sweep %d arms in %d gangs: %.2f arms/s vs solo %.2f arms/s (%.2fx), %d shared-decode records\n",
-			gs.Arms, gs.Gangs, gs.ArmsPerSec, gs.SoloArmsPerSec, gs.SpeedupVsSoloEngine, gs.SharedDecode)
-		rep.Gang = gs
 	}
 	if !noSweep && cw.measure {
 		cs, err := measureChunked(benches, lats, cw)
@@ -631,82 +588,4 @@ func measureChunked(benches string, lats []int, cw chunkedSweep) (*ChunkedStat, 
 		cs.Overhead = cs.StreamedSeconds / cs.ResidentSeconds
 	}
 	return cs, nil
-}
-
-// measureGang times the engine sweep twice on cold engines — once with
-// gang replay (the default), once with independent per-arm replay — with
-// benchmark preparation warmed outside both clocks. The timed region is
-// what an operator's sweep actually pays: extraction, capture, and the N
-// timing simulations.
-func measureGang(benches string, lats []int) (*GangStat, error) {
-	ctx := context.Background()
-	var names []string
-	for _, name := range strings.Split(benches, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("gang sweep has no benchmarks")
-	}
-	var jobs []minigraph.SimJob
-	for _, name := range names {
-		for _, ml := range lats {
-			cfg := frontendConfig(minigraph.MiniGraphConfig(true))
-			cfg.MemLatency = ml
-			jobs = append(jobs, minigraph.SimJob{
-				Prepare: minigraph.PrepareKey{Bench: name, Input: minigraph.InputTrain},
-				Policy:  minigraph.DefaultPolicy(),
-				Entries: 512,
-				Config:  cfg,
-			})
-		}
-	}
-	gs := &GangStat{Arms: len(jobs)}
-
-	sweep := func(gang bool) (float64, int64, minigraph.EngineStats, error) {
-		eng := minigraph.NewEngine(0).WithGangReplay(gang)
-		for _, name := range names {
-			pk := minigraph.PrepareKey{Bench: name, Input: minigraph.InputTrain}
-			if _, err := eng.Prepare(ctx, pk); err != nil {
-				return 0, 0, minigraph.EngineStats{}, err
-			}
-		}
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		if _, err := eng.Run(ctx, jobs); err != nil {
-			return 0, 0, minigraph.EngineStats{}, err
-		}
-		sec := time.Since(t0).Seconds()
-		runtime.ReadMemStats(&m1)
-		return sec, int64(m1.Mallocs-m0.Mallocs) / int64(len(jobs)), eng.Stats(), nil
-	}
-
-	sec, allocs, st, err := sweep(true)
-	if err != nil {
-		return nil, fmt.Errorf("gang sweep: %w", err)
-	}
-	gs.Seconds = sec
-	gs.AllocsPerArm = allocs
-	gs.Gangs = st.GangsFormed
-	gs.GangArms = st.GangArms
-	gs.SharedDecode = st.GangSharedRecords
-	if sec > 0 {
-		gs.ArmsPerSec = float64(gs.Arms) / sec
-	}
-
-	soloSec, _, _, err := sweep(false)
-	if err != nil {
-		return nil, fmt.Errorf("solo sweep: %w", err)
-	}
-	gs.SoloSeconds = soloSec
-	if soloSec > 0 {
-		gs.SoloArmsPerSec = float64(gs.Arms) / soloSec
-	}
-	if gs.SoloArmsPerSec > 0 {
-		gs.SpeedupVsSoloEngine = gs.ArmsPerSec / gs.SoloArmsPerSec
-	}
-	return gs, nil
 }

@@ -18,19 +18,18 @@ import (
 
 // Mode selects how records are delivered to the pipelines under test. The
 // oracle runs every arm under every mode: divergence in exactly one mode
-// pinpoints the delivery layer (trace codec, gang ring, live stream)
+// pinpoints the delivery layer (trace codec, chunk window, live stream)
 // rather than the pipeline.
 type Mode string
 
 // Delivery modes.
 const (
-	ModeReplay Mode = "replay" // capture once, solo replay cursors
+	ModeReplay Mode = "replay" // capture once, per-arm replay cursors
 	ModeLive   Mode = "live"   // step-by-step live emulation
-	ModeGang   Mode = "gang"   // shared-decode gang replay
 )
 
 // AllModes lists every delivery mode in canonical order.
-func AllModes() []Mode { return []Mode{ModeReplay, ModeLive, ModeGang} }
+func AllModes() []Mode { return []Mode{ModeReplay, ModeLive} }
 
 // Arm is one point of the configuration matrix.
 type Arm struct {
@@ -45,7 +44,7 @@ const MGTEntries = 512
 // Matrix returns the eight-arm configuration matrix for bench:
 // {baseline, minigraph} × {hybrid, tage} × {none, delta}. The four
 // minigraph arms share one TraceKey (and likewise the four baseline arms),
-// so gang mode actually forms gangs. maxRecords bounds each simulation
+// so replay mode exercises one capture serving several arms. maxRecords bounds each simulation
 // (0 = run to halt; generated programs always halt).
 func Matrix(bench string, maxRecords int64) []Arm {
 	arms := make([]Arm, 0, 8)
@@ -115,16 +114,7 @@ func NewEngines(workers int, modes ...Mode) *Engines {
 	}
 	e := &Engines{byMode: make(map[Mode]*sim.Engine), modes: modes}
 	for _, m := range modes {
-		eng := sim.New(workers)
-		switch m {
-		case ModeLive:
-			eng.WithLiveStream(true)
-		case ModeReplay:
-			eng.WithGangReplay(false)
-		case ModeGang:
-			// default: gang replay on
-		}
-		e.byMode[m] = eng
+		e.byMode[m] = sim.New(workers).WithLiveStream(m == ModeLive)
 	}
 	return e
 }
@@ -140,7 +130,7 @@ type reference struct {
 //     functional emulator's digest over the same binary, and the retired
 //     record count must equal the emulator's.
 //  2. Across modes, each arm's encoded outcome must be byte-identical —
-//     live, replay and gang delivery must be indistinguishable.
+//     live and replay delivery must be indistinguishable.
 //  3. Across binaries, the rewritten program's final memory image must
 //     equal the original's (the transparency claim; registers may
 //     legitimately differ where rewriting elides dead interior writes).
@@ -200,8 +190,8 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		return mgRef
 	}
 
-	// Run the whole matrix under each mode; RunEach lets gang mode form
-	// its gangs (arms sharing a TraceKey interleave over one traversal).
+	// Run the whole matrix under each mode; in replay mode the arms
+	// sharing a TraceKey replay one capture concurrently.
 	encoded := make(map[Mode][][]byte)
 	for _, m := range eng.modes {
 		jobs := make([]sim.SimJob, len(arms))

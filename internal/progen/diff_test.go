@@ -8,8 +8,8 @@ import (
 )
 
 // corpusSize is the number of seeds the full (non-short) corpus run checks.
-// Each seed covers 8 configuration arms under 3 delivery modes, so the full
-// run is 24,000 pipeline simulations cross-checked against the emulator.
+// Each seed covers 8 configuration arms under 2 delivery modes, so the full
+// run is 16,000 pipeline simulations cross-checked against the emulator.
 const corpusSize = 1000
 
 // sharedEngines hands every test and fuzz worker one engine set. Engine

@@ -296,23 +296,15 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	// second registers mid-sweep, the first's heartbeat TTL lapses
 	// mid-sweep, and every re-routed arm fetches its captured trace blob
 	// from the previous owner — byte-identical report, zero re-captures.
-	distinct := make(map[string]bool)
-	for _, js := range req.Jobs {
-		job, err := js.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk, err := sim.EncodeTraceKey(job.Key().TraceKey())
-		if err != nil {
-			t.Fatal(err)
-		}
-		distinct[string(tk)] = true
-	}
-
 	e1, ets1 := newTrackingWorker(t, 0)
 	e1.gate(5) // park the 5th arm: the join happens here
 	e2, ets2 := newTrackingWorker(t, 0)
 	e2.gate(1) // park w2's first arm: the expiry happens here
+	elastic, distinct := elasticSweep(t, ets1.URL, ets2.URL)
+	want, err = single.SweepJSON(ctx, elastic)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// FanoutConcurrency 1 serializes arms, so membership mutations at the
 	// gates land between arms, never during a concurrent capture.
@@ -338,7 +330,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 	doneCh := make(chan sweepRes, 1)
 	go func() {
-		data, err := cl.SweepJSON(ctx, req)
+		data, err := cl.SweepJSON(ctx, elastic)
 		doneCh <- sweepRes{data, err}
 	}()
 
@@ -372,9 +364,9 @@ func TestCoordinatorEquivalence(t *testing.T) {
 		t.Fatal("joined worker served nothing; membership change did not re-route")
 	}
 	st1, st2 := e1.srv.eng.Stats(), e2.srv.eng.Stats()
-	if got := st1.TraceCaptures + st2.TraceCaptures; got != int64(len(distinct)) {
+	if got := st1.TraceCaptures + st2.TraceCaptures; got != int64(distinct) {
 		t.Errorf("tier captured %d traces for %d identities — re-routed arms re-captured instead of fetching blobs (w1 %d, w2 %d)",
-			got, len(distinct), st1.TraceCaptures, st2.TraceCaptures)
+			got, distinct, st1.TraceCaptures, st2.TraceCaptures)
 	}
 	if st2.TracePeerHits == 0 {
 		t.Error("joined worker never fetched a peer blob")
@@ -403,6 +395,51 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	if m, ok := byURL[ets2.URL]; !ok || !m.Live || m.Heartbeats == 0 {
 		t.Errorf("joined worker in member table: %+v (present %v)", m, ok)
 	}
+}
+
+// elasticSweep builds the elastic-membership sweep for a tier that starts
+// with first alone and gains joined mid-sweep. Rendezvous ranks hash the
+// workers' URLs, so the trace keys are chosen from the actual ranking:
+// twelve arms share a key homed on joined and four share a key homed on
+// first (arms differ only in DRAM latency, which is not part of the trace
+// key). The five arms first serves before the join therefore always
+// include a joined-homed key with arms left over, and the joined worker
+// must fetch that capture from first — whatever order the arms run in.
+// It returns the sweep and its number of distinct trace keys.
+func elasticSweep(t *testing.T, first, joined string) (SweepRequest, int) {
+	t.Helper()
+	urls := []string{first, joined}
+	home := make(map[string]*JobSpec)
+	for limit := int64(3000); len(home) < 2; limit++ {
+		if limit == 3256 {
+			t.Fatal("no trace key homed on each worker in 256 candidates")
+		}
+		js := JobSpec{Bench: "sha", Baseline: true, Machine: "baseline", MaxRecords: limit}
+		job, err := js.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := sim.EncodeTraceKey(job.Key().TraceKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := urls[rankByRendezvous(urls, tk)[0]]; home[h] == nil {
+			home[h] = &js
+		}
+	}
+	req := SweepRequest{Name: "elastic", Title: "elastic-membership sweep"}
+	for _, g := range []struct {
+		url  string
+		arms int
+	}{{joined, 12}, {first, 4}} {
+		for i := 0; i < g.arms; i++ {
+			spec := *home[g.url]
+			spec.MemLatency = 100 + 10*i
+			spec.Arm = fmt.Sprintf("r%d/mem%d", spec.MaxRecords, spec.MemLatency)
+			req.Jobs = append(req.Jobs, spec)
+		}
+	}
+	return req, len(home)
 }
 
 func getBody(t *testing.T, url string) (*http.Response, []byte) {

@@ -267,11 +267,9 @@ func TestJobPersistsAcrossRestart(t *testing.T) {
 	}
 
 	slow := slowSweep(16)
-	// Distinct record limits give every arm its own TraceKey: the arms
-	// cannot gang, so they complete one at a time on the 1-worker engine
-	// and the poll below can observe the job mid-flight. (Ganged arms
-	// advance in lockstep and all complete together at the end, leaving no
-	// partial-progress window to interrupt.)
+	// Distinct record limits give every arm its own TraceKey, so each arm
+	// pays for its own capture and the arms complete one at a time on the
+	// 1-worker engine: the poll below can observe the job mid-flight.
 	for i := range slow.Jobs {
 		slow.Jobs[i].MaxRecords = int64(4_000_000 + i)
 	}

@@ -216,13 +216,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // fires as each arm completes, from that arm's goroutine. specs and jobs
 // are index-aligned.
 //
-// On the local engine, arms sharing a captured trace execute as gangs
-// (one shared-decode traversal driving all of their pipelines) unless the
-// engine was built WithGangReplay(false); reports are byte-identical
-// either way and /statsz's gang counters (gangs_formed, gang_arms,
-// gang_shared_records, gang_fallback_solo) show whether sweeps actually
-// gang. In coordinator mode arms reach each worker one at a time through
-// /v1/outcome, so cross-arm ganging applies to single-process sweeps.
+// On the local engine every arm is an independent simulation: arms
+// sharing a captured trace replay it in parallel through private cursors
+// (/statsz trace_captures vs trace_replay_hits shows the sharing). In
+// coordinator mode arms reach the workers one at a time through
+// /v1/outcome.
 func (s *Server) runSweep(ctx context.Context, specs []JobSpec, jobs []sim.SimJob, onDone func(int, *sim.Outcome)) ([]*sim.Outcome, error) {
 	if s.coord != nil {
 		return s.coord.Run(ctx, specs, jobs, onDone)

@@ -48,7 +48,6 @@ type Engine struct {
 	sem     chan struct{}
 	store   *store.Store
 	live    bool // force live emulation sources (golden-invariance testing)
-	gangOff bool // disable gang replay in RunEach (solo-path benchmarking)
 
 	// traceFetch, when set, is consulted for a trace blob that is neither
 	// in memory nor in the store before falling back to capturing (see
@@ -102,11 +101,6 @@ type Engine struct {
 	chunkEvictions  atomic.Int64
 	chunkWindowPeak atomic.Int64 // max over any single reader window
 	chunkRecaptures atomic.Int64
-
-	gangsFormed atomic.Int64
-	gangArmsRun atomic.Int64
-	gangShared  atomic.Int64
-	gangSolo    atomic.Int64
 
 	// Front-end counters summed over pipeline simulations executed
 	// in-process (store and cache hits do not re-count).
@@ -164,8 +158,8 @@ type Stats struct {
 	// faulted in through reader windows (and TraceChunkEvictions the
 	// window evictions that made room); TraceChunkWindowPeakBytes is the
 	// largest resident footprint any single reader window reached;
-	// TraceResidentBytes is the chunk payload currently held by the
-	// in-memory trace cache (what the LRU budget accounts);
+	// TraceResidentBytes is the chunk buffer capacity currently held by
+	// the in-memory trace cache (what the LRU budget charges);
 	// TraceChunkRecaptures counts replays that lost a chunk mid-flight
 	// (store eviction, vanished peer) and recovered by re-capturing.
 	TraceChunkFaults          int64 `json:"trace_chunk_faults,omitempty"`
@@ -180,16 +174,6 @@ type Stats struct {
 	// damaged blob (CRC mismatch) and fell back to capturing.
 	TracePeerHits    int64 `json:"trace_peer_hits,omitempty"`
 	TracePeerRejects int64 `json:"trace_peer_rejects,omitempty"`
-
-	// Gang-replay counters (see internal/sim/gang.go). GangsFormed counts
-	// gangs actually run; GangArms the arms those gangs carried (mean gang
-	// size = GangArms/GangsFormed); GangSharedRecords the per-record decodes
-	// arms skipped by reading the shared ring; GangFallbackSolo the sweep
-	// trace-groups that were singletons and took the independent path.
-	GangsFormed       int64 `json:"gangs_formed"`
-	GangArms          int64 `json:"gang_arms"`
-	GangSharedRecords int64 `json:"gang_shared_records"`
-	GangFallbackSolo  int64 `json:"gang_fallback_solo"`
 
 	// Front-end counters, summed over the uarch.Results of pipeline
 	// simulations executed in-process (store hits and memoized results do
@@ -515,18 +499,6 @@ func (s *storeChunkIO) FetchChunk(index int64) ([]byte, error) {
 	return raw, nil
 }
 
-// WithGangReplay enables or disables gang replay in Run/RunEach (enabled
-// by default): sweep jobs sharing a TraceKey interleave their pipelines
-// over one shared-decode trace traversal instead of walking private
-// cursors end-to-end (see internal/sim/gang.go). Reports are byte-identical
-// either way — disabling exists for solo-path benchmarking and as a
-// diagnostic escape hatch. Set before submitting jobs (the field is not
-// synchronized); e is returned for chaining.
-func (e *Engine) WithGangReplay(on bool) *Engine {
-	e.gangOff = !on
-	return e
-}
-
 // WithLiveStream switches the engine to live, step-by-step functional
 // emulation inside every simulation instead of capture-once/replay-many.
 // The two modes must produce byte-identical reports — this knob exists so
@@ -564,22 +536,18 @@ func (e *Engine) Stats() Stats {
 		TraceResidentBytes:        resident,
 		TraceChunkRecaptures:      e.chunkRecaptures.Load(),
 
-		GangsFormed:       e.gangsFormed.Load(),
-		GangArms:          e.gangArmsRun.Load(),
-		GangSharedRecords: e.gangShared.Load(),
-		GangFallbackSolo:  e.gangSolo.Load(),
-		CondBranches:      e.feCondBranches.Load(),
-		CondMispredicts:   e.feCondMispreds.Load(),
-		Mispredicts:       e.feMispredicts.Load(),
-		PrefetchIssued:    e.fePrefIssued.Load(),
-		PrefetchUseful:    e.fePrefUseful.Load(),
-		PrefetchLate:      e.fePrefLate.Load(),
+		CondBranches:    e.feCondBranches.Load(),
+		CondMispredicts: e.feCondMispreds.Load(),
+		Mispredicts:     e.feMispredicts.Load(),
+		PrefetchIssued:  e.fePrefIssued.Load(),
+		PrefetchUseful:  e.fePrefUseful.Load(),
+		PrefetchLate:    e.fePrefLate.Load(),
 	}
 }
 
 // noteFrontend folds one executed simulation's front-end counters into the
-// engine totals. Called at the three places an in-process pipeline run
-// produces a Result: trace replay, live emulation, and gang arms.
+// engine totals. Called wherever an in-process pipeline run produces a
+// Result: trace replay (resident or recovered) and live emulation.
 func (e *Engine) noteFrontend(res *uarch.Result) {
 	e.feCondBranches.Add(res.CondBranches)
 	e.feCondMispreds.Add(res.CondMispredicts)
@@ -705,9 +673,10 @@ func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*c
 	tk := key.TraceKey()
 	ct, err := e.captureTraceLocked(ctx, tk, key, pr)
 	if err == nil {
-		// The LRU accounts what the trace actually holds resident — a
-		// spilled trace costs its manifest bookkeeping, not its logical
-		// size, so the budget admits many large spilled traces at once.
+		// The LRU charges the memory the trace actually holds (chunk
+		// buffer capacity, not rows in use) — a spilled trace costs its
+		// manifest bookkeeping, not its logical size, so the budget admits
+		// many large spilled traces at once.
 		e.touchTrace(tk, ct.trace.ResidentBytes())
 	}
 	return ct, err
@@ -959,6 +928,10 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 		})
 }
 
+// newPipeline builds the pipeline of every trace replay; tests wrap it to
+// observe pipeline lifetimes.
+var newPipeline = uarch.NewWithSource
+
 // replay runs one timing simulation over a shared captured trace through a
 // private zero-allocation cursor. cfgName is the job's display name (the
 // canonical key clears it), used only in error messages.
@@ -972,7 +945,7 @@ func (e *Engine) replay(ctx context.Context, key SimKey, cfgName string, ct *cap
 		mgt = core.NewMGT(ct.templates, ExecParams(key.Config))
 	}
 	rd := trace.NewReaderWindowed(ct.trace, ct.prog, key.Config.MaxRecords, e.chunkWindow)
-	res, err := uarch.NewWithSource(key.Config, mgt, rd).Run(ctx)
+	res, err := newPipeline(key.Config, mgt, rd).Run(ctx)
 	e.noteWindow(rd.WindowStats())
 	if err != nil {
 		// ErrChunkUnavailable stays unwrappable through the %w so Simulate
@@ -1015,7 +988,7 @@ func (e *Engine) replayResident(ctx context.Context, key SimKey, cfgName string,
 		mgt = core.NewMGT(templates, ExecParams(key.Config))
 	}
 	rd := trace.NewReader(tr, prog, key.Config.MaxRecords)
-	res, err := uarch.NewWithSource(key.Config, mgt, rd).Run(ctx)
+	res, err := newPipeline(key.Config, mgt, rd).Run(ctx)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
 	}
@@ -1059,43 +1032,19 @@ func (e *Engine) Run(ctx context.Context, jobs []SimJob) ([]*Outcome, error) {
 // finishes successfully, from that job's goroutine (it must be safe for
 // concurrent use). Use it to stream progress during long sweeps.
 //
-// Jobs sharing a TraceKey are (unless WithGangReplay(false)) executed as
-// gangs: their pipelines interleave over one shared-decode traversal of
-// the common trace, producing outcomes byte-identical to independent
-// execution while paying the record-decode cost once per gang (see
-// internal/sim/gang.go). Singleton groups, duplicates, and already-cached
-// keys take the plain Simulate path.
+// Every job is an independent Simulate on its own goroutine: arms sharing
+// a TraceKey single-flight one capture and then replay it in parallel,
+// each through a private cursor, bounded by the worker pool.
 func (e *Engine) RunEach(ctx context.Context, jobs []SimJob, onDone func(i int, out *Outcome)) ([]*Outcome, error) {
 	outs := make([]*Outcome, len(jobs))
 	errs := make([]error, len(jobs))
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	plan := e.planGangs(jobs)
 	var wg sync.WaitGroup
-	if plan != nil {
-		for _, g := range plan.gangs {
-			wg.Add(1)
-			go func(g *gang) {
-				defer wg.Done()
-				e.runGang(gctx, g)
-			}(g)
-		}
-	}
 	for i, job := range jobs {
 		wg.Add(1)
 		go func(i int, job SimJob) {
 			defer wg.Done()
-			if plan != nil {
-				if c, ok := plan.byIndex[i]; ok {
-					outs[i], errs[i] = e.waitGangCall(gctx, c, job)
-					if errs[i] != nil {
-						cancel()
-					} else if onDone != nil {
-						onDone(i, outs[i])
-					}
-					return
-				}
-			}
 			outs[i], errs[i] = e.Simulate(gctx, job)
 			if errs[i] != nil {
 				cancel()

@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"minigraph/internal/core"
 	"minigraph/internal/uarch"
@@ -228,8 +230,8 @@ func TestEachCollectsErrors(t *testing.T) {
 
 // TestSimulateRefusesImpossibleConfig: a job carrying a degenerate machine
 // fails its own simulation with a structured error — job specs arrive over
-// HTTP, so this must never panic a worker. Gang planning must likewise
-// skip the bad job (Run exercises that path).
+// HTTP, so this must never panic a worker. In a sweep (Run) the bad job
+// must likewise fail alone.
 func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 	eng := New(1)
 	bad := baselineTestJob()
@@ -248,5 +250,55 @@ func TestSimulateRefusesImpossibleConfig(t *testing.T) {
 		t.Fatal("sweep with an impossible arm succeeded")
 	} else if !strings.Contains(err.Error(), "window capacity") {
 		t.Fatalf("sweep error %q does not name the bad axis", err)
+	}
+}
+
+// TestOutcomeDoesNotPinPipeline: a memoized Outcome must not keep its
+// finished pipeline reachable. A pipeline owns its caches, predictor and
+// store-set tables (tens of MB on the default machines), so an Outcome
+// holding an interior pointer into one retains all of it for the life of
+// the engine's memo — a sweep-sized leak per arm.
+func TestOutcomeDoesNotPinPipeline(t *testing.T) {
+	const records = 20_011 // marks this test's pipelines
+	var (
+		mu    sync.Mutex
+		built []weak.Pointer[uarch.Pipeline]
+	)
+	orig := newPipeline
+	newPipeline = func(cfg uarch.Config, mgt *core.MGT, src uarch.TraceSource) *uarch.Pipeline {
+		p := orig(cfg, mgt, src)
+		if cfg.MaxRecords == records {
+			mu.Lock()
+			built = append(built, weak.Make(p))
+			mu.Unlock()
+		}
+		return p
+	}
+	t.Cleanup(func() { newPipeline = orig })
+
+	e := New(1)
+	job := baselineTestJob()
+	job.Config.MaxRecords = records
+	out, err := e.Simulate(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(built) != 1 {
+		t.Fatalf("simulation built %d pipelines, want 1", len(built))
+	}
+	runtime.GC()
+	runtime.GC()
+	if built[0].Value() != nil {
+		t.Fatal("finished pipeline still reachable from the memoized outcome")
+	}
+	// The outcome itself stays memoized and intact.
+	again, err := e.Simulate(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != out || out.Result.Cycles == 0 {
+		t.Fatalf("memoized outcome lost: %p vs %p, cycles %d", again, out, out.Result.Cycles)
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -198,8 +197,8 @@ func (s *Store) ScrubWith(opts ScrubOptions) ScrubReport {
 // scrubEntry verifies a raw entry file against the hash its filename
 // claims, returning the parsed entry for classification when healthy.
 func scrubEntry(data []byte, hash string) (entry, bool) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	e, ok := parseEntry(data)
+	if !ok {
 		return e, false
 	}
 	if e.Version != formatVersion || e.Value == nil {

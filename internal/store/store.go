@@ -25,8 +25,10 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -90,6 +92,53 @@ type entry struct {
 	Key     []byte `json:"key"`
 	Value   []byte `json:"value"`
 	Sum     string `json:"sum"`
+}
+
+// parseEntry decodes an envelope in exactly the layout Put writes, that
+// of json.Marshal(entry):
+//
+//	{"version":N,"key":"<base64>","value":"<base64>","sum":"<hex>"}
+//
+// Anything else (a torn or flipped write, a stray file) is not an entry.
+// It reads the fixed layout directly rather than through encoding/json
+// because trace chunks make values megabytes long, and the generic decoder
+// validates, unquotes and copies the whole payload string before it
+// base64-decodes it — the dominant cost of a chunk fault.
+func parseEntry(data []byte) (entry, bool) {
+	var e entry
+	rest, ok := bytes.CutPrefix(data, []byte(`{"version":`))
+	if !ok {
+		return e, false
+	}
+	ver, rest, ok := bytes.Cut(rest, []byte(`,"key":"`))
+	if !ok {
+		return e, false
+	}
+	v, err := strconv.Atoi(string(ver))
+	if err != nil {
+		return e, false
+	}
+	e.Version = v
+	key, rest, ok := bytes.Cut(rest, []byte(`","value":"`))
+	if !ok {
+		return e, false
+	}
+	value, rest, ok := bytes.Cut(rest, []byte(`","sum":"`))
+	if !ok {
+		return e, false
+	}
+	sum, ok := bytes.CutSuffix(rest, []byte(`"}`))
+	if !ok || bytes.IndexByte(sum, '"') >= 0 {
+		return e, false
+	}
+	if e.Key, err = base64.StdEncoding.AppendDecode([]byte{}, key); err != nil {
+		return e, false
+	}
+	if e.Value, err = base64.StdEncoding.AppendDecode([]byte{}, value); err != nil {
+		return e, false
+	}
+	e.Sum = string(sum)
+	return e, true
 }
 
 func valueSum(value []byte) string {
@@ -392,8 +441,8 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // decodeEntry parses an on-disk envelope and verifies it holds key with an
 // intact payload.
 func decodeEntry(data []byte, key []byte) ([]byte, bool) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	e, ok := parseEntry(data)
+	if !ok {
 		return nil, false
 	}
 	if e.Version != formatVersion || string(e.Key) != string(key) || e.Value == nil {

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -138,6 +140,37 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 	// The damaged files are gone, so the index converges to empty.
 	if n := s2.Len(); n != 0 {
 		t.Errorf("%d damaged entries still indexed", n)
+	}
+}
+
+// TestParseEntryMatchesJSON: the envelope parser reads exactly what Put's
+// json.Marshal writes, field for field as encoding/json would, and accepts
+// no truncation of it.
+func TestParseEntryMatchesJSON(t *testing.T) {
+	big := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(big)
+	for _, v := range [][]byte{{}, []byte("value"), {0, '"', '\\', 0xff}, big} {
+		data, err := json.Marshal(entry{Version: formatVersion, Key: []byte("k\x00\""), Value: v, Sum: valueSum(v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want entry
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := parseEntry(data)
+		if !ok || got.Version != want.Version || !bytes.Equal(got.Key, want.Key) ||
+			!bytes.Equal(got.Value, want.Value) || got.Value == nil || got.Sum != want.Sum {
+			t.Fatalf("%d-byte value: parsed %v %+v, encoding/json %+v", len(v), ok, got.Version, want.Version)
+		}
+		if len(data) > 256 {
+			continue
+		}
+		for n := 0; n < len(data); n++ {
+			if _, ok := parseEntry(data[:n]); ok {
+				t.Fatalf("accepted a %d-byte truncation of %s", n, data)
+			}
+		}
 	}
 }
 

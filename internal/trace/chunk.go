@@ -345,8 +345,8 @@ type WindowStats struct {
 // payloads. Chunks the Trace itself retains are served directly and cost
 // the window nothing; only spilled chunks are faulted in (CRC-verified
 // against the manifest) and LRU-evicted beyond max. A window belongs to
-// one reader (or one gang) and is not safe for concurrent use — sharing
-// happens at the immutable Trace, not here.
+// one reader and is not safe for concurrent use — sharing happens at the
+// immutable Trace, not here.
 type chunkWindow struct {
 	t     *Trace
 	max   int // max faulted chunks held resident (<= 0: unbounded)

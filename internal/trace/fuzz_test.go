@@ -3,11 +3,9 @@ package trace_test
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"testing"
 
 	"minigraph/internal/asm"
-	"minigraph/internal/emu"
 	"minigraph/internal/trace"
 )
 
@@ -82,59 +80,6 @@ func FuzzTraceCodec(f *testing.F) {
 		}
 		if back.Len() != tr.Len() || back.Halted() != tr.Halted() {
 			t.Fatal("round trip changed trace metadata")
-		}
-	})
-}
-
-// FuzzReaderRewind drives a solo Reader and a gang cursor (over a tiny
-// shared window, so the lag boundary is crossed constantly) through an
-// arbitrary schedule of consumes and rewinds and demands byte-identical
-// records at every step. Schedule bytes: even op = consume (op/2)%8+1
-// records, odd op = rewind op/2 records back (clamped to zero). The seed
-// corpus includes the maximum-rewind-depth case — consume the entire
-// trace, then rewind all the way to record zero — so unbounded Rewind can
-// never silently clamp to a retention window.
-func FuzzReaderRewind(f *testing.F) {
-	prog := asm.MustAssemble("seed", fuzzSeedSrc)
-	tr, err := trace.Capture(context.Background(), prog, nil, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	full := bytes.Repeat([]byte{0xfe}, int(tr.Len())/8+2) // consume past exhaustion
-	f.Add(append(append([]byte{}, full...), 0xff))        // then max-depth rewind to zero
-	f.Add([]byte{0x02, 0x03, 0x0e, 0x05, 0xfe})           // mixed short hops
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, sched []byte) {
-		rd := trace.NewReader(tr, prog, 0)
-		g := trace.NewGangReader(tr, prog, 8)
-		cur := g.Cursor(0)
-		var a, b emu.Record
-		for step, op := range sched {
-			if op&1 == 0 {
-				for n := int(op>>1)%8 + 1; n > 0; n-- {
-					aok, bok := rd.NextInto(&a), cur.NextInto(&b)
-					if aok != bok {
-						t.Fatalf("op %d: reader ok=%v gang ok=%v", step, aok, bok)
-					}
-					if !aok {
-						break
-					}
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("op %d: record mismatch\nreader: %+v\ngang:   %+v", step, a, b)
-					}
-				}
-			} else {
-				seq := cur.Cursor() - int64(op>>1)
-				if seq < 0 {
-					seq = 0
-				}
-				rd.Rewind(seq)
-				cur.Rewind(seq)
-			}
-		}
-		if rd.Exhausted() != cur.Exhausted() {
-			t.Fatalf("exhaustion mismatch: reader %v gang %v", rd.Exhausted(), cur.Exhausted())
 		}
 	})
 }

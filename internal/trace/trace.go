@@ -149,14 +149,16 @@ func (t *Trace) SizeBytes() int64 {
 	return t.n*recordBytes + int64(len(t.errMsg))
 }
 
-// ResidentBytes returns the chunk payload bytes currently held in memory
-// by the Trace itself (spilled chunks and reader windows excluded).
+// ResidentBytes returns the memory the Trace itself holds for chunk
+// payloads: the capacity of every resident chunk buffer, not just the rows
+// in use (spilled chunks and reader windows excluded). This is what a
+// memory budget must charge.
 func (t *Trace) ResidentBytes() int64 {
 	var b int64
 	for _, c := range t.chunks {
-		b += int64(len(c))
+		b += int64(cap(c))
 	}
-	return b + int64(len(t.cur))
+	return b + int64(cap(t.cur))
 }
 
 // Spilled reports whether any chunk's payload is non-resident (replay
@@ -319,17 +321,25 @@ func (t *Trace) appendRecord(rec *emu.Record) {
 // seal closes the open chunk: records its checksum in the manifest and
 // either spills it through sink (dropping the payload) or retains it. A
 // sink error keeps the chunk resident — spilling is an optimization, so
-// its failure can cost memory but never the capture.
+// its failure can cost memory but never the capture. A retained chunk is
+// trimmed to its rows, so a short final chunk does not keep its spare
+// buffer capacity alive for the trace's lifetime.
 func (t *Trace) seal(sink ChunkSink) {
 	if len(t.cur) == 0 {
+		t.cur = nil
 		return
 	}
 	idx := int64(len(t.chunks))
 	crc := crc32.ChecksumIEEE(t.cur)
 	t.crcs = append(t.crcs, crc)
-	if sink != nil && sink.SealChunk(idx, int64(len(t.cur))/recordBytes, t.cur, crc) == nil {
+	switch {
+	case sink != nil && sink.SealChunk(idx, int64(len(t.cur))/recordBytes, t.cur, crc) == nil:
 		t.chunks = append(t.chunks, nil)
-	} else {
+	case cap(t.cur) > len(t.cur):
+		trimmed := make([]byte, len(t.cur))
+		copy(trimmed, t.cur)
+		t.chunks = append(t.chunks, trimmed)
+	default:
 		t.chunks = append(t.chunks, t.cur)
 	}
 	t.cur = nil
@@ -452,8 +462,10 @@ func CaptureWith(ctx context.Context, prog *isa.Program, mgt *core.MGT, limit in
 				return nil, err
 			}
 			// Geometric growth between checks keeps the append fast path
-			// bounds-check-only; an accurate hint makes this a no-op.
-			if free := (int64(cap(t.cur)) - int64(len(t.cur))) / recordBytes; free < captureCheckInterval {
+			// bounds-check-only. The first check (n == 0) trusts the hint,
+			// so an accurate hint for a short trace is never inflated to a
+			// whole check interval of rows.
+			if free := (int64(cap(t.cur)) - int64(len(t.cur))) / recordBytes; t.n > 0 && free < captureCheckInterval {
 				want := 2 * int64(cap(t.cur)) / recordBytes
 				if min := int64(len(t.cur))/recordBytes + captureCheckInterval; want < min {
 					want = min
@@ -602,9 +614,6 @@ func (r *Reader) NextInto(dst *emu.Record) bool {
 	r.cursor++
 	return true
 }
-
-// Cursor returns the sequence number of the next record Next will serve.
-func (r *Reader) Cursor() int64 { return r.cursor }
 
 // Err returns the architectural fault that truncated the stream (if this
 // reader's limit would have run into it) or the chunk-fetch failure that

@@ -209,6 +209,27 @@ func TestCaptureLimitSemantics(t *testing.T) {
 	}
 }
 
+// TestCaptureHoldsOnlyItsRows: whatever the size hint — none, exact, or
+// far too large — a finished resident capture of a run to halt holds
+// exactly its rows, so the engine's trace budget (which charges
+// ResidentBytes) sees real memory.
+func TestCaptureHoldsOnlyItsRows(t *testing.T) {
+	prog := asm.MustAssemble("seed", fuzzSeedSrc)
+	ref, err := trace.Capture(context.Background(), prog, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hint := range []int64{0, ref.Len(), 10 * ref.Len()} {
+		tr, err := trace.CaptureWith(context.Background(), prog, nil, 0, trace.CaptureOptions{Hint: hint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tr.ResidentBytes(), tr.Len()*trace.RecordBytes; got != want {
+			t.Errorf("hint %d: %d records hold %d bytes, want %d", hint, tr.Len(), got, want)
+		}
+	}
+}
+
 // faultSrc jumps to a PC far outside the program: the live stream and a
 // captured trace must surface the identical architectural fault.
 const faultSrc = `

@@ -252,37 +252,18 @@ const hardCycleLimit = int64(10_000_000_000)
 // Run simulates to completion (program halt, MaxRecords, or ctx
 // cancellation) and returns the statistics. Cancellation is checked every
 // few thousand cycles so a long simulation aborts promptly without taxing
-// the per-cycle hot loop.
+// the per-cycle hot loop. The Result is a copy, so a caller that keeps it
+// (the engine memoizes every Outcome) does not keep the finished pipeline
+// — caches, predictor and store-set tables, uop pool — reachable.
 func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
-	for {
-		done, err := p.RunCycles(ctx, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return p.Finish()
-		}
-	}
-}
-
-// RunCycles advances the simulation by at most n cycles, returning
-// done=true once the run is complete (program halt, MaxRecords, or stream
-// fault). It is the resumable form of Run: a gang scheduler interleaves
-// many pipelines by granting each a cycle quantum in turn, and the chunk
-// boundaries are invisible to the simulated machine — state advances
-// exactly as one uninterrupted Run would. Call Finish after done.
-func (p *Pipeline) RunCycles(ctx context.Context, n int64) (bool, error) {
-	for ; n > 0; n-- {
-		if p.done() {
-			return true, nil
-		}
+	for !p.done() {
 		p.cycle++
 		if p.cycle > hardCycleLimit {
-			return false, fmt.Errorf("uarch: exceeded %d cycles (livelock?)", hardCycleLimit)
+			return nil, fmt.Errorf("uarch: exceeded %d cycles (livelock?)", hardCycleLimit)
 		}
 		if p.cycle&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return nil, err
 			}
 		}
 		p.window.Tick(p.cycle)
@@ -299,13 +280,6 @@ func (p *Pipeline) RunCycles(ctx context.Context, n int64) (bool, error) {
 			p.violPending = false
 		}
 	}
-	return p.done(), nil
-}
-
-// Finish surfaces the stream's architectural fault (if the run hit one)
-// and seals the statistics. Call it exactly once, after RunCycles reports
-// done; Run does so itself.
-func (p *Pipeline) Finish() (*Result, error) {
 	if err := p.src.Err(); err != nil {
 		return nil, err
 	}
@@ -323,7 +297,8 @@ func (p *Pipeline) Finish() (*Result, error) {
 	p.stats.PrefetchIssued = p.dcache.PrefIssued
 	p.stats.PrefetchUseful = p.dcache.PrefUseful
 	p.stats.PrefetchLate = p.dcache.PrefLate
-	return &p.stats, nil
+	res := p.stats
+	return &res, nil
 }
 
 func (p *Pipeline) done() bool {
