@@ -82,20 +82,22 @@ func sweepArms() []minigraph.SimJob {
 	return jobs
 }
 
-// benchSweep runs the whole sweep on a cold engine per iteration and
-// reports arms per wall-clock second plus the engine's capture counters.
-// Benchmark preparation (build, CFG, liveness, profile) is identical in
-// both modes and memoized since PR 1, so — like extraction in
-// BenchmarkPipelineMiniGraph — it is warmed outside the measured region;
-// the clock sees extraction, capture/emulation, and timing simulation.
-func benchSweep(b *testing.B, live bool) {
-	b.Helper()
+// BenchmarkSweep times the multi-arm configuration sweep through the
+// trace-replay engine — one functional emulation per benchmark, N
+// independent timed replays running in parallel — on a cold engine per
+// iteration, and reports arms per wall-clock second plus the engine's
+// capture counters. Benchmark preparation (build, CFG, liveness, profile)
+// is memoized, so — like extraction in BenchmarkPipelineMiniGraph — it is
+// warmed outside the measured region; the clock sees extraction, capture
+// and timing simulation. cmd/mgprof's sweep block measures the same sweep
+// against live per-arm emulation.
+func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	jobs := sweepArms()
 	var captures, replays int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := minigraph.NewEngine(0).WithLiveStream(live)
+		eng := minigraph.NewEngine(0)
 		for _, name := range workload.BenchSubset() {
 			pk := minigraph.PrepareKey{Bench: name, Input: minigraph.InputTrain}
 			if _, err := eng.Prepare(context.Background(), pk); err != nil {
@@ -119,17 +121,6 @@ func benchSweep(b *testing.B, live bool) {
 		b.ReportMetric(float64(replays)/float64(b.N), "replays/sweep")
 	}
 }
-
-// BenchmarkSweep times the multi-arm configuration sweep through the
-// trace-replay engine: one functional emulation per benchmark, N
-// independent timed replays running in parallel.
-func BenchmarkSweep(b *testing.B) { benchSweep(b, false) }
-
-// BenchmarkSweepLiveStream is the same sweep with live step-by-step
-// emulation inside every arm — the pre-trace behavior, kept measurable so
-// the replay speedup stays an observable number rather than a changelog
-// claim.
-func BenchmarkSweepLiveStream(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkPipelineMiniGraph times the mini-graph machine over the subset,
 // with extraction and rewriting done once outside the measured region: the

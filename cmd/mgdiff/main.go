@@ -2,7 +2,8 @@
 // programs (internal/progen) are executed by the functional emulator and by
 // the timing pipeline under the full configuration matrix — {baseline,
 // minigraph} × {hybrid, tage} × {none, delta} — and under every record
-// delivery mode (live, replay). A seed passes when every arm retires
+// delivery mode: the engine's trace replay and the live-emulation
+// reference (sim.SimulateLive). A seed passes when every arm retires
 // the architecturally identical state (register-write/store digest and
 // retired count), all modes produce byte-identical encoded outcomes, and
 // the rewritten binary's final memory matches the original's.
@@ -27,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"minigraph/internal/progen"
+	"minigraph/internal/sim"
 )
 
 func main() {
@@ -46,7 +48,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := progen.NewEngines(0)
+	eng := sim.New(0)
 
 	if *seed >= 0 {
 		if err := progen.DiffSeed(ctx, eng, *seed, *maxRecords); err != nil {

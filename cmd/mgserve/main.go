@@ -47,7 +47,7 @@
 //	POST   /v1/outcome             one job, canonical outcome encoding
 //	POST   /v1/workers/register    join the tier / heartbeat
 //	GET    /v1/workers             the member table
-//	GET    /v1/blobs/{traceKey}    captured trace (peer transfer; ?manifest=1, ?chunk=N)
+//	GET    /v1/blobs/{traceKey}    captured trace manifest or chunk (peer transfer; ?manifest=1 or ?chunk=N)
 //	GET    /v1/experiments/{name}  full figure reproduction (Report JSON)
 //	POST   /v1/jobs                submit an async sweep job
 //	GET    /v1/jobs[/{id}[/report]] poll async jobs

@@ -16,16 +16,17 @@ import (
 	"minigraph/internal/workload"
 )
 
-// Mode selects how records are delivered to the pipelines under test. The
-// oracle runs every arm under every mode: divergence in exactly one mode
-// pinpoints the delivery layer (trace codec, chunk window, live stream)
-// rather than the pipeline.
+// Mode names how records were delivered to the pipeline under test. The
+// oracle runs every arm under every mode: the engine's replay path and the
+// live-emulation reference (sim.SimulateLive). Divergence in exactly one
+// mode pinpoints the delivery layer (trace codec, chunk window, live
+// stream) rather than the pipeline.
 type Mode string
 
 // Delivery modes.
 const (
-	ModeReplay Mode = "replay" // capture once, per-arm replay cursors
-	ModeLive   Mode = "live"   // step-by-step live emulation
+	ModeReplay Mode = "replay" // the engine: capture once, per-arm replay cursors
+	ModeLive   Mode = "live"   // the reference: step-by-step live emulation
 )
 
 // AllModes lists every delivery mode in canonical order.
@@ -98,33 +99,10 @@ func (d *Divergence) Error() string {
 		d.Seed, d.Arm, d.Mode, d.Detail, d.Seed)
 }
 
-// Engines is the set of engines the oracle drives, one per delivery mode.
-// Sharing one set across many seeds amortises nothing between seeds (keys
-// embed the seed's name) but keeps engine construction out of the per-seed
-// path and mirrors how a long-lived service would run.
-type Engines struct {
-	byMode map[Mode]*sim.Engine
-	modes  []Mode
-}
-
-// NewEngines builds one engine per mode with the given worker-pool size.
-func NewEngines(workers int, modes ...Mode) *Engines {
-	if len(modes) == 0 {
-		modes = AllModes()
-	}
-	e := &Engines{byMode: make(map[Mode]*sim.Engine), modes: modes}
-	for _, m := range modes {
-		e.byMode[m] = sim.New(workers).WithLiveStream(m == ModeLive)
-	}
-	return e
-}
-
-// reference is the emulator-side truth for one trace identity.
-type reference struct {
-	st *emu.FinalState
-}
-
-// DiffSeed generates seed's program and checks the full oracle for it:
+// DiffSeed generates seed's program and checks the full oracle for it,
+// replaying through eng and comparing against the live reference. Sharing
+// one engine across many seeds amortises nothing between seeds (keys embed
+// the seed's name) but mirrors how a long-lived service would run.
 //
 //  1. Per arm × mode, the pipeline's retired-state digest must equal the
 //     functional emulator's digest over the same binary, and the retired
@@ -136,7 +114,7 @@ type reference struct {
 //     legitimately differ where rewriting elides dead interior writes).
 //
 // A nil error means the seed passed every check.
-func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) error {
+func DiffSeed(ctx context.Context, eng *sim.Engine, seed int64, maxRecords int64) error {
 	bench, err := RegisterSeed(seed)
 	if err != nil {
 		return err
@@ -144,8 +122,7 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 	arms := Matrix(bench, maxRecords)
 
 	// Emulator references, one per trace identity (baseline + rewritten).
-	refEng := eng.byMode[eng.modes[0]]
-	pr, err := refEng.Prepare(ctx, sim.PrepareKey{Bench: bench, Input: workload.InputTrain})
+	pr, err := eng.Prepare(ctx, sim.PrepareKey{Bench: bench, Input: workload.InputTrain})
 	if err != nil {
 		return fmt.Errorf("progen: seed %d: prepare: %w", seed, err)
 	}
@@ -190,18 +167,27 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		return mgRef
 	}
 
-	// Run the whole matrix under each mode; in replay mode the arms
-	// sharing a TraceKey replay one capture concurrently.
+	// Run the whole matrix under each mode: through the engine, where the
+	// arms sharing a TraceKey replay one capture concurrently, and through
+	// the live reference, one arm at a time.
+	jobs := make([]sim.SimJob, len(arms))
+	for i := range arms {
+		jobs[i] = arms[i].Job
+	}
+	replayed, err := eng.Run(ctx, jobs)
+	if err != nil {
+		return fmt.Errorf("progen: seed %d mode %s: %w", seed, ModeReplay, err)
+	}
+	live := make([]*sim.Outcome, len(jobs))
+	for i, job := range jobs {
+		if live[i], err = sim.SimulateLive(ctx, pr, job); err != nil {
+			return fmt.Errorf("progen: seed %d mode %s: %w", seed, ModeLive, err)
+		}
+	}
+	byMode := map[Mode][]*sim.Outcome{ModeReplay: replayed, ModeLive: live}
 	encoded := make(map[Mode][][]byte)
-	for _, m := range eng.modes {
-		jobs := make([]sim.SimJob, len(arms))
-		for i := range arms {
-			jobs[i] = arms[i].Job
-		}
-		outs, err := eng.byMode[m].RunEach(ctx, jobs, nil)
-		if err != nil {
-			return fmt.Errorf("progen: seed %d mode %s: %w", seed, m, err)
-		}
+	for _, m := range AllModes() {
+		outs := byMode[m]
 		enc := make([][]byte, len(arms))
 		for i, out := range outs {
 			a := &arms[i]
@@ -223,23 +209,20 @@ func DiffSeed(ctx context.Context, eng *Engines, seed int64, maxRecords int64) e
 		encoded[m] = enc
 	}
 
-	// Cross-mode: every delivery path must produce byte-identical outcomes.
-	first := eng.modes[0]
-	for _, m := range eng.modes[1:] {
-		for i := range arms {
-			if !bytes.Equal(encoded[first][i], encoded[m][i]) {
-				return &Divergence{Seed: seed, Arm: arms[i].Name, Mode: m,
-					Detail: fmt.Sprintf("outcome differs from mode %s", first)}
-			}
+	// Cross-mode: replay must reproduce the live reference byte for byte.
+	for i := range arms {
+		if !bytes.Equal(encoded[ModeReplay][i], encoded[ModeLive][i]) {
+			return &Divergence{Seed: seed, Arm: arms[i].Name, Mode: ModeReplay,
+				Detail: fmt.Sprintf("outcome differs from mode %s", ModeLive)}
 		}
 	}
 	return nil
 }
 
-// DiffSeeds checks seeds sequentially against a shared engine set,
+// DiffSeeds checks seeds sequentially against a shared engine,
 // stopping at the first failure. onPass, when non-nil, fires after each
 // passing seed (progress reporting).
-func DiffSeeds(ctx context.Context, eng *Engines, seeds []int64, maxRecords int64, onPass func(seed int64)) error {
+func DiffSeeds(ctx context.Context, eng *sim.Engine, seeds []int64, maxRecords int64, onPass func(seed int64)) error {
 	for _, s := range seeds {
 		if err := ctx.Err(); err != nil {
 			return err

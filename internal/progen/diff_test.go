@@ -5,26 +5,21 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"minigraph/internal/sim"
 )
 
 // corpusSize is the number of seeds the full (non-short) corpus run checks.
-// Each seed covers 8 configuration arms under 2 delivery modes, so the full
-// run is 16,000 pipeline simulations cross-checked against the emulator.
+// Each seed covers 8 configuration arms under 2 delivery modes (engine
+// replay and the live reference), so the full run is 16,000 pipeline
+// simulations cross-checked against the emulator.
 const corpusSize = 1000
 
-// sharedEngines hands every test and fuzz worker one engine set. Engine
+// sharedEngine hands every test and fuzz worker one replay engine. Engine
 // state is keyed by benchmark name (which embeds the seed), so concurrent
 // seeds never collide; sharing mirrors a long-lived service and keeps the
 // corpus run fast.
-var (
-	enginesOnce sync.Once
-	engines     *Engines
-)
-
-func sharedEnginesInit() *Engines {
-	enginesOnce.Do(func() { engines = NewEngines(0) })
-	return engines
-}
+var sharedEngine = sync.OnceValue(func() *sim.Engine { return sim.New(0) })
 
 // TestDifferentialCorpus is the seeded differential oracle: every corpus
 // seed must produce identical architectural state in the functional
@@ -36,7 +31,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	eng := sharedEnginesInit()
+	eng := sharedEngine()
 	ctx := context.Background()
 
 	shards := runtime.GOMAXPROCS(0)
@@ -70,7 +65,7 @@ func TestDifferentialCorpus(t *testing.T) {
 // silently corrupting an address computation. The full oracle must stay
 // clean on it.
 func TestSeed681Regression(t *testing.T) {
-	if err := DiffSeed(context.Background(), sharedEnginesInit(), 681, 0); err != nil {
+	if err := DiffSeed(context.Background(), sharedEngine(), 681, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +78,7 @@ func FuzzDifferential(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 681, 1337, 99991, -1, -424242} {
 		f.Add(seed)
 	}
-	eng := sharedEnginesInit()
+	eng := sharedEngine()
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if err := DiffSeed(context.Background(), eng, seed, 0); err != nil {
 			t.Fatal(err)

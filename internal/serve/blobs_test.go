@@ -26,12 +26,12 @@ func blobTestJob(t *testing.T) sim.SimJob {
 	return job
 }
 
-// TestBlobChunkEndpoints exercises the three forms of GET /v1/blobs/{key}
-// against a worker whose resident trace spans several chunks: the manifest
-// decodes and covers the trace, each chunk frame decodes and matches the
-// manifest's CRC, reassembling every chunk reproduces the monolithic blob
-// byte for byte, and malformed or out-of-range chunk indices are rejected
-// with the right statuses.
+// TestBlobChunkEndpoints exercises GET /v1/blobs/{key} against a worker
+// whose resident trace spans several chunks: the manifest decodes and
+// covers the trace, each chunk frame decodes and matches the manifest's
+// CRC, and the bare path (neither ?manifest= nor ?chunk=) as well as
+// malformed or out-of-range chunk indices are rejected with the right
+// statuses.
 func TestBlobChunkEndpoints(t *testing.T) {
 	ctx := context.Background()
 	eng := sim.New(2).WithTraceChunkRecords(256)
@@ -65,7 +65,6 @@ func TestBlobChunkEndpoints(t *testing.T) {
 		t.Fatalf("trace split into %d chunks; the test geometry should give several", len(m.Chunks))
 	}
 
-	chunks := make(fetchedChunks, len(m.Chunks))
 	for i := range m.Chunks {
 		resp, body := getBody(t, base+"?chunk="+strconv.Itoa(i))
 		if resp.StatusCode != http.StatusOK {
@@ -78,28 +77,11 @@ func TestBlobChunkEndpoints(t *testing.T) {
 		if idx != int64(i) || crc32.ChecksumIEEE(raw) != m.Chunks[i].CRC {
 			t.Fatalf("chunk %d frame disagrees with the manifest", i)
 		}
-		chunks[i] = raw
 	}
 
-	resp, blob := getBody(t, base)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET bare blob: %d: %s", resp.StatusCode, blob)
-	}
-	tr, err := trace.FromManifest(m, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reassembled, err := trace.Encode(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reassembled, blob) {
-		t.Error("chunk-by-chunk reassembly differs from the monolithic blob")
-	}
-
-	for _, q := range []string{"?chunk=abc", "?chunk=-1"} {
+	for _, q := range []string{"", "?chunk=abc", "?chunk=-1"} {
 		if resp, _ := getBody(t, base+q); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET %s: %d, want 400", q, resp.StatusCode)
+			t.Errorf("GET %q: %d, want 400", q, resp.StatusCode)
 		}
 	}
 	if resp, _ := getBody(t, base+"?chunk=999"); resp.StatusCode != http.StatusNotFound {
@@ -154,12 +136,13 @@ func (p *blobPeer) askedChunks() []int64 {
 	return append([]int64(nil), p.asked...)
 }
 
-// TestBlobFetchResumesAcrossPeers drives fetchTraceBlob against two
+// TestBlobFetchResumesAcrossPeers drives fetchTrace against two
 // handcrafted peers: the first serves a good manifest but corrupts one
 // chunk and dies (500) on a later one; the second serves everything. The
 // transfer must keep the chunks the first peer delivered intact — asking
 // the second peer only for what is missing — reject the damaged chunk by
-// CRC, and assemble a blob byte-identical to the source worker's.
+// CRC, and assemble a fully resident trace whose manifest and chunk
+// payloads are byte-identical to the source worker's.
 func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 	ctx := context.Background()
 	src := sim.New(2).WithTraceChunkRecords(256)
@@ -178,10 +161,6 @@ func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 	}
 	if len(m.Chunks) < 4 {
 		t.Fatalf("trace split into %d chunks; the scenario needs several", len(m.Chunks))
-	}
-	wantBlob, ok := src.TraceBlob(tk)
-	if !ok {
-		t.Fatal("source engine holds no blob")
 	}
 	chunkFrame := func(i int64) []byte {
 		frame, ok := src.TraceChunk(tk, i)
@@ -213,12 +192,25 @@ func TestBlobFetchResumesAcrossPeers(t *testing.T) {
 	fetcher := mustNew(t, Options{Engine: sim.New(1)})
 	t.Cleanup(fetcher.Close)
 	fctx := withBlobPeers(ctx, blobSources{peers: []string{p1.URL, p2.URL}})
-	blob, err := fetcher.fetchTraceBlob(fctx, tk)
+	tr, err := fetcher.fetchTrace(fctx, tk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(blob, wantBlob) {
-		t.Fatal("assembled blob differs from the source worker's")
+	if tr == nil {
+		t.Fatal("fetch returned no trace")
+	}
+	if !bytes.Equal(trace.EncodeManifest(tr.Manifest()), manifest) {
+		t.Fatal("assembled trace's manifest differs from the source worker's")
+	}
+	for ci := int64(0); ci < tr.NumChunks(); ci++ {
+		if !tr.ChunkResident(ci) {
+			t.Fatalf("assembled trace's chunk %d is not resident", ci)
+		}
+		got, _ := tr.ChunkPayload(ci)
+		_, want, err := trace.DecodeChunk(chunkFrame(ci))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("assembled trace's chunk %d differs from the source worker's (%v)", ci, err)
+		}
 	}
 
 	// The first peer was asked for everything once; the second only for
@@ -272,8 +264,7 @@ func TestBlobFetchAllPeersDamaged(t *testing.T) {
 	fetcher := mustNew(t, Options{Engine: sim.New(1)})
 	t.Cleanup(fetcher.Close)
 	fctx := withBlobPeers(ctx, blobSources{peers: []string{p.URL}})
-	blob, err := fetcher.fetchTraceBlob(fctx, tk)
-	if err == nil {
-		t.Fatalf("fetch over all-damaged chunks returned blob=%d bytes, err=nil; want a rejection", len(blob))
+	if tr, err := fetcher.fetchTrace(fctx, tk); err == nil {
+		t.Fatalf("fetch over all-damaged chunks returned trace=%v, err=nil; want a rejection", tr != nil)
 	}
 }

@@ -146,7 +146,7 @@ func (c *Client) Outcome(ctx context.Context, js JobSpec) (*sim.Outcome, error) 
 }
 
 // OutcomeFrom is Outcome plus a ranked list of peer workers the serving
-// engine may fetch the job's captured trace blob from, each attempt
+// engine may stream the job's captured trace from, each attempt
 // bounded by perPeer (0 = the server's default; see blobs.go). An empty
 // peers list is plain Outcome.
 func (c *Client) OutcomeFrom(ctx context.Context, js JobSpec, peers []string, perPeer time.Duration) (*sim.Outcome, error) {
@@ -162,14 +162,6 @@ func (c *Client) OutcomeFrom(ctx context.Context, js JobSpec, peers []string, pe
 		return nil, err
 	}
 	return sim.DecodeOutcome(data)
-}
-
-// TraceBlob fetches the encoded trace blob for a canonical TraceKey
-// encoding (sim.EncodeTraceKey bytes) from this worker's blob endpoint.
-// The bytes are CRC-framed; callers decode (and thereby verify) them
-// before use.
-func (c *Client) TraceBlob(ctx context.Context, traceKey []byte) ([]byte, error) {
-	return c.doRaw(ctx, http.MethodGet, blobPath(traceKey), nil)
 }
 
 // TraceManifest fetches the chunk manifest (trace manifest codec) for a

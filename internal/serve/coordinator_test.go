@@ -476,9 +476,20 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 // TestCoordinatorHungWorkerTimesOut: a worker that accepts the connection
 // and never answers must not wedge the sweep — the per-call timeout marks
 // it failed and the arm re-routes to a live worker.
+//
+// Arm "b" is chosen from the real rendezvous ranking to be homed on the
+// hung worker, so every run goes through the timeout (the ranking hashes
+// random test ports; a fixed spec skipped the hung worker in 8 of 20
+// runs). The live worker is warmed with both arms first: a cold outcome
+// call prepares and profiles sha, which under the race detector on a
+// small box outlasts the 300 ms call timeout and would time out the live
+// worker too. Warm, its answers are memoized, so the timeout measures
+// only the hung worker.
 func TestCoordinatorHungWorkerTimesOut(t *testing.T) {
 	release := make(chan struct{})
+	var hungCalls atomic.Int64
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hungCalls.Add(1)
 		<-release // hold every request open until the test ends
 		panic(http.ErrAbortHandler)
 	}))
@@ -499,9 +510,29 @@ func TestCoordinatorHungWorkerTimesOut(t *testing.T) {
 		srv.Close()
 	})
 
-	req := SweepRequest{Name: "hang", Jobs: []JobSpec{
-		fastSpec("a", true), fastSpec("b", false),
-	}}
+	homed := fastSpec("b", false)
+	for ; ; homed.MaxRecords++ {
+		if homed.MaxRecords == 3256 {
+			t.Fatal("no trace key homed on the hung worker in 256 candidates")
+		}
+		job, err := homed.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := sim.EncodeTraceKey(job.Key().TraceKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rankByRendezvous([]string{hung.URL, live.URL}, tk)[0] == 0 {
+			break
+		}
+	}
+	req := SweepRequest{Name: "hang", Jobs: []JobSpec{fastSpec("a", true), homed}}
+	for _, js := range req.Jobs {
+		if _, err := NewClient(live.URL).Outcome(context.Background(), js); err != nil {
+			t.Fatalf("warming the live worker: %v", err)
+		}
+	}
 	start := time.Now()
 	rep, err := NewClient(ts.URL).Sweep(context.Background(), req)
 	if err != nil {
@@ -512,6 +543,9 @@ func TestCoordinatorHungWorkerTimesOut(t *testing.T) {
 	}
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("sweep took %s; hung worker was not timed out", d)
+	}
+	if hungCalls.Load() == 0 {
+		t.Error("no arm was routed to the hung worker; the timeout went unexercised")
 	}
 }
 

@@ -176,9 +176,9 @@ func New(o Options) (*Server, error) {
 		}
 		s.coord = coord
 	}
-	// Workers fetch trace blobs from the peers the coordinator names on
+	// Workers stream traces from the peers the coordinator names on
 	// each /v1/outcome call instead of re-capturing (see blobs.go).
-	o.Engine.WithTraceFetcher(s.fetchTraceBlob)
+	o.Engine.WithTraceFetcher(s.fetchTrace)
 	s.jobs = newJobManager(s, o.JobQueue, o.JobRunners)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
@@ -537,8 +537,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 //
 // When the coordinator names blob peers for the arm (the
 // X-Minigraph-Blob-Peers header), they ride the context into the engine's
-// trace fetcher: a worker that lacks the capture pulls the blob from the
-// key's previous owner instead of re-emulating.
+// trace fetcher: a worker that lacks the capture streams the trace's
+// manifest and chunks from the key's previous owner instead of
+// re-emulating.
 func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	var js JobSpec
 	if err := s.decodeBody(w, r, &js); err != nil {

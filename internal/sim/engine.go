@@ -36,8 +36,10 @@ const ProfileLimit = 4_000_000
 // limit) into an immutable structure-of-arrays trace, and every machine
 // configuration swept over that binary replays the shared trace through
 // its own zero-allocation cursor — concurrently, with no locking. With a
-// persistent store attached, trace blobs round-trip through disk so cold
-// processes replay without ever emulating.
+// persistent store attached, traces round-trip through disk as a manifest
+// plus chunk entries, so cold processes replay without ever emulating.
+// Replay is the engine's only delivery path; SimulateLive is the
+// live-emulation reference it is checked against.
 //
 // An Engine is safe for concurrent use and is meant to be shared across
 // experiments so cross-figure common work (benchmark preparations, the
@@ -47,13 +49,12 @@ type Engine struct {
 	workers int
 	sem     chan struct{}
 	store   *store.Store
-	live    bool // force live emulation sources (golden-invariance testing)
 
-	// traceFetch, when set, is consulted for a trace blob that is neither
-	// in memory nor in the store before falling back to capturing (see
-	// WithTraceFetcher). The serving tier uses it to move blobs between
+	// traceFetch, when set, is consulted for a trace that is neither in
+	// memory nor in the store before falling back to capturing (see
+	// WithTraceFetcher). The serving tier uses it to move traces between
 	// workers when membership changes re-route an arm.
-	traceFetch func(ctx context.Context, key TraceKey) ([]byte, error)
+	traceFetch func(ctx context.Context, key TraceKey) (*trace.Trace, error)
 
 	// Chunked-trace policy (see WithTraceChunkRecords and friends).
 	// chunkRecords overrides the capture chunk geometry (0: trace package
@@ -171,7 +172,7 @@ type Stats struct {
 	// Peer-transfer counters (see WithTraceFetcher). TracePeerHits counts
 	// traces adopted from a peer instead of being captured or re-captured;
 	// TracePeerRejects counts fetch attempts that failed or returned a
-	// damaged blob (CRC mismatch) and fell back to capturing.
+	// trace whose chunks failed verification, and fell back to capturing.
 	TracePeerHits    int64 `json:"trace_peer_hits,omitempty"`
 	TracePeerRejects int64 `json:"trace_peer_rejects,omitempty"`
 
@@ -326,15 +327,17 @@ func (e *Engine) Store() *store.Store { return e.store }
 
 // WithTraceFetcher installs a hook consulted when a simulation needs a
 // trace that is neither memoized in memory nor present in the store: f
-// returns the encoded blob (the trace package's CRC-framed binary codec)
-// or an error. A (nil, nil) return means "no source available" and is not
-// counted. The blob is CRC-checked on arrival — any damage counts as a
-// reject and the engine falls back to capturing, never to a wrong replay —
-// and an adopted blob is written through to the store. The serving tier
-// uses this to fetch blobs from peer workers when membership changes
-// re-route an arm. Set before submitting jobs (the field is not
-// synchronized); e is returned for chaining.
-func (e *Engine) WithTraceFetcher(f func(ctx context.Context, key TraceKey) ([]byte, error)) *Engine {
+// returns the trace or an error. A (nil, nil) return means "no source
+// available" and is not counted. The engine adopts the returned trace
+// after materializing it — every chunk not already resident is faulted
+// through the trace's source and checked against its manifest CRC — so a
+// fetch error or a damaged chunk counts as a reject and the engine falls
+// back to capturing, never to a wrong replay. An adopted trace is written
+// through to the store. The serving tier uses this to stream traces from
+// peer workers when membership changes re-route an arm. Set before
+// submitting jobs (the field is not synchronized); e is returned for
+// chaining.
+func (e *Engine) WithTraceFetcher(f func(ctx context.Context, key TraceKey) (*trace.Trace, error)) *Engine {
 	e.traceFetch = f
 	return e
 }
@@ -362,8 +365,8 @@ func (e *Engine) memoTrace(key TraceKey) (*trace.Trace, bool) {
 // storedTrace opens key's trace from the attached store: manifest entry
 // under the trace key, chunk payloads faulted through chunk entries.
 // Nothing is verified beyond the manifest decode — callers stream chunks
-// through the returned trace (Encode, ChunkPayload, Materialize), each of
-// which CRC-checks what it touches.
+// through the returned trace (ChunkPayload, Materialize), each of which
+// CRC-checks what it touches.
 func (e *Engine) storedTrace(key TraceKey) (*trace.Trace, bool) {
 	if e.store == nil {
 		return nil, false
@@ -385,25 +388,6 @@ func (e *Engine) storedTrace(key TraceKey) (*trace.Trace, bool) {
 		return nil, false
 	}
 	return tr, true
-}
-
-// TraceBlob returns the encoded monolithic blob (trace binary codec) for
-// key, assembled from the in-memory trace cache or the attached store's
-// manifest + chunk entries. ok is false when the trace is not resident or
-// any chunk is missing or damaged — a partial trace must read as a miss,
-// never ship as a wrong blob.
-func (e *Engine) TraceBlob(key TraceKey) ([]byte, bool) {
-	if tr, ok := e.memoTrace(key); ok {
-		if data, err := trace.Encode(tr); err == nil {
-			return data, true
-		}
-	}
-	if tr, ok := e.storedTrace(key); ok {
-		if data, err := trace.Encode(tr); err == nil {
-			return data, true
-		}
-	}
-	return nil, false
 }
 
 // TraceManifest returns the encoded chunk manifest (trace manifest codec)
@@ -499,17 +483,6 @@ func (s *storeChunkIO) FetchChunk(index int64) ([]byte, error) {
 	return raw, nil
 }
 
-// WithLiveStream switches the engine to live, step-by-step functional
-// emulation inside every simulation instead of capture-once/replay-many.
-// The two modes must produce byte-identical reports — this knob exists so
-// the golden-invariance tests can prove it, and as an escape hatch while
-// diagnosing a suspected trace bug. Set before submitting jobs (the field
-// is not synchronized); e is returned for chaining.
-func (e *Engine) WithLiveStream(live bool) *Engine {
-	e.live = live
-	return e
-}
-
 // Stats snapshots the cache counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -547,7 +520,7 @@ func (e *Engine) Stats() Stats {
 
 // noteFrontend folds one executed simulation's front-end counters into the
 // engine totals. Called wherever an in-process pipeline run produces a
-// Result: trace replay (resident or recovered) and live emulation.
+// Result: trace replay, resident or recovered.
 func (e *Engine) noteFrontend(res *uarch.Result) {
 	e.feCondBranches.Add(res.CondBranches)
 	e.feCondMispreds.Add(res.CondMispredicts)
@@ -667,8 +640,9 @@ func buildProgram(pr *Prepared, key TraceKey) (*isa.Program, []*core.Template, *
 // captureTrace returns the memoized capture for key's trace identity,
 // emulating at most once per process no matter how many arms ask. With a
 // store attached the capture round-trips through disk: a cold process
-// loads the persisted blob and never emulates. Like Prepare, the compute
-// takes its own worker slot and callers must not hold one.
+// loads the persisted manifest and chunks and never emulates. Like
+// Prepare, the compute takes its own worker slot and callers must not
+// hold one.
 func (e *Engine) captureTrace(ctx context.Context, key SimKey, pr *Prepared) (*capturedTrace, error) {
 	tk := key.TraceKey()
 	ct, err := e.captureTraceLocked(ctx, tk, key, pr)
@@ -778,28 +752,30 @@ func (e *Engine) captureTraceLocked(ctx context.Context, tk TraceKey, key SimKey
 				}
 			}
 			// Neither memory nor store has the capture; before emulating,
-			// try to adopt the blob from a peer. The frame is CRC-checked,
-			// so a damaged transfer degrades to a re-capture, never to a
-			// wrong replay.
+			// try to adopt the trace from a peer. Materializing checks every
+			// fetched chunk against the manifest CRC, so a damaged transfer
+			// degrades to a re-capture, never to a wrong replay.
 			if e.traceFetch != nil {
-				if data, err := e.traceFetch(ctx, tk); err != nil {
+				tr, err := e.traceFetch(ctx, tk)
+				if err == nil && tr != nil {
+					err = tr.Materialize()
+				}
+				switch {
+				case err != nil:
 					e.tracePeerRejects.Add(1)
-				} else if data != nil {
-					if tr, err := trace.Decode(data); err == nil {
-						e.tracePeerHits.Add(1)
-						e.traceBytes.Add(tr.SizeBytes())
-						ct.trace = tr
-						if keyBytes != nil && e.persistTrace(tk, keyBytes, tr) && e.chunkWindow > 0 {
-							// Durable in chunked form: swap the adopted blob
-							// for its spilled equivalent so residency stays
-							// bounded even right after a transfer.
-							if spilled, ok := e.storedTrace(tk); ok {
-								ct.trace = spilled
-							}
+				case tr != nil:
+					e.tracePeerHits.Add(1)
+					e.traceBytes.Add(tr.SizeBytes())
+					ct.trace = tr
+					if keyBytes != nil && e.persistTrace(tk, keyBytes, tr) && e.chunkWindow > 0 {
+						// Durable in chunked form: swap the adopted trace for
+						// its spilled equivalent so residency stays bounded
+						// even right after a transfer.
+						if spilled, ok := e.storedTrace(tk); ok {
+							ct.trace = spilled
 						}
-						return ct, nil
 					}
-					e.tracePeerRejects.Add(1)
+					return ct, nil
 				}
 			}
 			var mgt *core.MGT
@@ -841,9 +817,8 @@ func (e *Engine) captureTraceLocked(ctx context.Context, tk TraceKey, key SimKey
 // The simulation replays the memoized captured trace for the job's binary
 // (see captureTrace); only the first arm over a given rewrite pays for
 // functional emulation, and its replaying siblings read the shared
-// immutable trace through private cursors. WithLiveStream(true) restores
-// step-by-step live emulation — by the golden-invariance rule the results
-// are byte-identical either way.
+// immutable trace through private cursors. By the golden-invariance rule
+// the outcome is byte-identical to SimulateLive's for the same job.
 //
 // With a persistent store attached (WithStore), an in-memory miss first
 // consults the store under the job's canonical key encoding — a hit skips
@@ -882,36 +857,30 @@ func (e *Engine) Simulate(ctx context.Context, job SimJob) (*Outcome, error) {
 
 			var res *uarch.Result
 			var sel *core.Selection
-			if e.live {
-				res, sel, err = e.simulateLive(ctx, key, job.Config.Name, pr)
-			} else {
-				var ct *capturedTrace
+			ct, err := e.captureTrace(ctx, key, pr)
+			if err == nil {
+				res, err = e.replay(ctx, key, job.Config.Name, ct)
+				sel = ct.sel
+			}
+			if errors.Is(err, trace.ErrChunkUnavailable) {
+				// A spilled chunk vanished mid-replay (store eviction under
+				// pressure, a peer gone away). The trace itself is
+				// reproducible — evict the stale handle and re-source it,
+				// which re-verifies the store or re-captures.
+				e.chunkRecaptures.Add(1)
+				e.evictTrace(key.TraceKey())
 				ct, err = e.captureTrace(ctx, key, pr)
 				if err == nil {
 					res, err = e.replay(ctx, key, job.Config.Name, ct)
 					sel = ct.sel
 				}
-				if errors.Is(err, trace.ErrChunkUnavailable) {
-					// A spilled chunk vanished mid-replay (store eviction
-					// under pressure, a peer gone away). The trace itself is
-					// reproducible — evict the stale handle and re-source
-					// it, which re-verifies the store or re-captures.
-					e.chunkRecaptures.Add(1)
-					e.evictTrace(key.TraceKey())
-					ct, err = e.captureTrace(ctx, key, pr)
-					if err == nil {
-						res, err = e.replay(ctx, key, job.Config.Name, ct)
-						sel = ct.sel
-					}
-				}
-				if errors.Is(err, trace.ErrChunkUnavailable) {
-					// Still losing chunks after re-sourcing: the store is
-					// failing reads, not just missing one entry. Recover
-					// without it — the job completes even if every store
-					// read fails from here on.
-					e.chunkRecaptures.Add(1)
-					res, sel, err = e.replayResident(ctx, key, job.Config.Name, pr)
-				}
+			}
+			if errors.Is(err, trace.ErrChunkUnavailable) {
+				// Still losing chunks after re-sourcing: the store is failing
+				// reads, not just missing one entry. Recover without it — the
+				// job completes even if every store read fails from here on.
+				e.chunkRecaptures.Add(1)
+				res, sel, err = e.replayResident(ctx, key, job.Config.Name, pr)
 			}
 			if err != nil {
 				return nil, err
@@ -996,16 +965,20 @@ func (e *Engine) replayResident(ctx context.Context, key SimKey, cfgName string,
 	return res, sel, nil
 }
 
-// simulateLive runs one timing simulation with live, step-by-step
-// functional emulation (the pre-trace execution-driven mode).
-func (e *Engine) simulateLive(ctx context.Context, key SimKey, cfgName string, pr *Prepared) (*uarch.Result, *core.Selection, error) {
-	if err := e.acquire(ctx); err != nil {
-		return nil, nil, err
+// SimulateLive is the live-emulation reference for one simulation: it
+// builds the job's binary from pr and times it with step-by-step
+// functional emulation inside the pipeline — no capture, no replay, no
+// engine state, no memoization. The engine's replay path must reproduce
+// its Outcome byte for byte through EncodeOutcome; the differential
+// oracle and the golden-invariance test check exactly that.
+func SimulateLive(ctx context.Context, pr *Prepared, job SimJob) (*Outcome, error) {
+	if err := job.Config.Check(); err != nil {
+		return nil, fmt.Errorf("sim: job %q: %w", job.Config.Name, err)
 	}
-	defer e.release()
+	key := job.Key()
 	prog, templates, sel, err := buildProgram(pr, key.TraceKey())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var mgt *core.MGT
 	if !key.Baseline {
@@ -1013,10 +986,9 @@ func (e *Engine) simulateLive(ctx context.Context, key SimKey, cfgName string, p
 	}
 	res, err := uarch.New(key.Config, prog, mgt).Run(ctx)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, cfgName, err)
+		return nil, fmt.Errorf("%s @ %s: %w", key.Prepare.Bench, job.Config.Name, err)
 	}
-	e.noteFrontend(res)
-	return res, sel, nil
+	return &Outcome{Result: res, Selection: sel}, nil
 }
 
 // Run submits every job, waits for all of them, and returns the outcomes

@@ -103,6 +103,23 @@ type Manifest struct {
 	Chunks       []ChunkInfo
 }
 
+// CodecVersion is the on-the-wire version of the binary trace encodings:
+// the manifest and the chunk frame both carry it. Any change to the
+// record layout or framing must bump it: persisted traces written under
+// an older version then read back as decode errors (cache misses) instead
+// of replaying garbage.
+//
+// Version history:
+//
+//	1: initial 27-byte packed rows, one monolithic blob per trace.
+//	2: rows grew destVal/storeVal u64 pairs (43 bytes) so replay folds the
+//	   same retired-state digest as the live stream.
+//	3: chunked framing — per-chunk frames (each with its own CRC) and the
+//	   manifest naming them, for chunk-granular store persistence and peer
+//	   transfer. The monolithic blob has since been removed; a trace
+//	   travels only as manifest plus chunks.
+const CodecVersion = 3
+
 // manifestMagic tags a manifest encoding ("MGTM", little-endian).
 const manifestMagic uint32 = 0x4d54474d
 

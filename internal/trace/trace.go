@@ -345,13 +345,6 @@ func (t *Trace) seal(sink ChunkSink) {
 	t.cur = nil
 }
 
-// addChunk installs a pre-built sealed chunk (decode path).
-func (t *Trace) addChunk(raw []byte) {
-	t.chunks = append(t.chunks, raw)
-	t.crcs = append(t.crcs, crc32.ChecksumIEEE(raw))
-	t.n += int64(len(raw)) / recordBytes
-}
-
 // fillRow reconstructs the record at sequence seq from its packed row
 // into dst. Every field is written, so dst may be reused across calls
 // without clearing. Inst is resolved through prog — the same lookup the

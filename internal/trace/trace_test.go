@@ -284,72 +284,120 @@ func TestCaptureFaultParity(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip: encode→decode→encode is byte-stable and the decoded
-// trace replays identically.
+// chunkSource serves decoded chunk payloads by index: the receiving side
+// of a manifest+chunk transfer.
+type chunkSource [][]byte
+
+func (c chunkSource) FetchChunk(index int64) ([]byte, error) { return c[index], nil }
+
+// encodeFrames renders tr in its wire form: the manifest encoding and one
+// chunk frame per sealed chunk.
+func encodeFrames(t *testing.T, tr *trace.Trace, compress bool) ([]byte, [][]byte) {
+	t.Helper()
+	frames := make([][]byte, tr.NumChunks())
+	for ci := range frames {
+		raw, err := tr.ChunkPayload(int64(ci))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[ci] = trace.EncodeChunk(int64(ci), raw, compress)
+	}
+	return trace.EncodeManifest(tr.Manifest()), frames
+}
+
+// TestCodecRoundTrip: encoding the manifest and every chunk, decoding
+// them, and rebuilding the trace with FromManifest is byte-stable (the
+// rebuilt trace re-encodes to the same manifest and chunk frames, raw or
+// compressed) and the rebuilt trace replays identically.
 func TestCodecRoundTrip(t *testing.T) {
 	prog, mgt, _ := rewritten(t, "adpcm.enc")
-	tr, err := trace.Capture(context.Background(), prog, mgt, 30_000)
+	tr, err := trace.CaptureWith(context.Background(), prog, mgt, 30_000, trace.CaptureOptions{ChunkRecords: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := trace.Encode(tr)
-	if err != nil {
-		t.Fatal(err)
+	if tr.NumChunks() < 4 {
+		t.Fatalf("capture split into %d chunks; the test geometry should give several", tr.NumChunks())
 	}
-	back, err := trace.Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := trace.Encode(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re, blob) {
-		t.Fatal("encode→decode→encode not byte-stable")
-	}
-	if back.Len() != tr.Len() || back.Halted() != tr.Halted() {
-		t.Fatalf("metadata changed: len %d→%d halted %v→%v", tr.Len(), back.Len(), tr.Halted(), back.Halted())
-	}
-	cfg := uarch.MiniGraph(true)
-	cfg.MaxRecords = 30_000
-	a, err := uarch.NewWithSource(cfg, mgt, trace.NewReader(tr, prog, cfg.MaxRecords)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := uarch.NewWithSource(cfg, mgt, trace.NewReader(back, prog, cfg.MaxRecords)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("decoded trace replays differently")
+	for _, compress := range []bool{false, true} {
+		manifest, frames := encodeFrames(t, tr, compress)
+		m, err := trace.DecodeManifest(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make(chunkSource, len(frames))
+		for ci, f := range frames {
+			idx, raw, err := trace.DecodeChunk(f)
+			if err != nil || idx != int64(ci) {
+				t.Fatalf("chunk %d: decode index %d, err %v", ci, idx, err)
+			}
+			src[ci] = raw
+		}
+		back, err := trace.FromManifest(m, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		reManifest, reFrames := encodeFrames(t, back, compress)
+		if !bytes.Equal(reManifest, manifest) || !reflect.DeepEqual(reFrames, frames) {
+			t.Fatalf("compress=%v: encode→decode→encode not byte-stable", compress)
+		}
+		if back.Len() != tr.Len() || back.Halted() != tr.Halted() {
+			t.Fatalf("metadata changed: len %d→%d halted %v→%v", tr.Len(), back.Len(), tr.Halted(), back.Halted())
+		}
+		cfg := uarch.MiniGraph(true)
+		cfg.MaxRecords = 30_000
+		a, err := uarch.NewWithSource(cfg, mgt, trace.NewReader(tr, prog, cfg.MaxRecords)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := uarch.NewWithSource(cfg, mgt, trace.NewReader(back, prog, cfg.MaxRecords)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("compress=%v: rebuilt trace replays differently", compress)
+		}
 	}
 }
 
-// TestDecodeRejectsDamage: every kind of blob damage reads as an error,
-// never as a silently wrong trace.
-func TestDecodeRejectsDamage(t *testing.T) {
-	prog, mgt, _ := rewritten(t, "sha")
-	tr, err := trace.Capture(context.Background(), prog, mgt, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := trace.Encode(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte{}, blob...)
-	flipped[len(flipped)-5] ^= 0x40 // a record byte, not the header
-	cases := map[string][]byte{
+// damaged returns every kind of damage a wire frame can suffer: each must
+// read as a decode error, never as a silently wrong manifest or chunk.
+func damaged(frame []byte) map[string][]byte {
+	flipped := append([]byte{}, frame...)
+	flipped[len(flipped)-1] ^= 0x40 // a payload/table byte, not the header
+	return map[string][]byte{
 		"empty":       {},
-		"magic":       append([]byte{'X'}, blob[1:]...),
-		"version":     append(append([]byte{}, blob[:4]...), append([]byte{0xff, 0xff}, blob[6:]...)...),
-		"truncated":   blob[:len(blob)/2],
-		"trailing":    append(append([]byte{}, blob...), 0),
+		"magic":       append([]byte{'X'}, frame[1:]...),
+		"version":     append(append([]byte{}, frame[:4]...), append([]byte{0xff, 0xff}, frame[6:]...)...),
+		"truncated":   frame[:len(frame)-1],
+		"trailing":    append(append([]byte{}, frame...), 0),
 		"payload-bit": flipped,
 	}
-	for name, data := range cases {
-		if _, err := trace.Decode(data); err == nil {
-			t.Errorf("%s: decode accepted damaged blob", name)
+}
+
+// TestDecodeRejectsDamage: DecodeManifest and DecodeChunk reject empty
+// input, bad magic, a bad version, truncation, a trailing byte and a
+// flipped payload bit.
+func TestDecodeRejectsDamage(t *testing.T) {
+	prog, mgt, _ := rewritten(t, "sha")
+	tr, err := trace.CaptureWith(context.Background(), prog, mgt, 1000, trace.CaptureOptions{ChunkRecords: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, frames := encodeFrames(t, tr, false)
+	for name, data := range damaged(manifest) {
+		if _, err := trace.DecodeManifest(data); err == nil {
+			t.Errorf("manifest %s: decode accepted damaged frame", name)
+		}
+	}
+	_, compressed := encodeFrames(t, tr, true)
+	for kind, frame := range map[string][]byte{"raw": frames[0], "compressed": compressed[0]} {
+		for name, data := range damaged(frame) {
+			if _, _, err := trace.DecodeChunk(data); err == nil {
+				t.Errorf("%s chunk %s: decode accepted damaged frame", kind, name)
+			}
 		}
 	}
 }

@@ -1,12 +1,13 @@
 // Trace golden-invariance tests: the engine's capture-once/replay-many
-// mode must be observationally indistinguishable from live step-by-step
-// emulation. These tests run real experiments both ways and diff the
-// structured reports byte-for-byte — the strongest statement that timing
-// is independent of how records are delivered.
+// path must be observationally indistinguishable from live step-by-step
+// emulation. TestReplayMatchesLiveStream times real experiment arms both
+// ways and diffs the encoded outcomes byte for byte — the strongest
+// statement that timing is independent of how records are delivered.
 package minigraph_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"minigraph/internal/core"
@@ -36,34 +37,59 @@ func sweepJobs(memLats []int) []sim.SimJob {
 	return jobs
 }
 
-// TestReplayMatchesLiveStream runs one full experiment twice on one small
-// benchmark — once through live emulation, once through trace replay — and
-// requires byte-identical reports. fig6 covers baseline and mini-graph
-// arms, integer and integer-memory policies, and collapsing variants, so
-// both the unrewritten and rewritten capture paths are exercised.
+// TestReplayMatchesLiveStream times Figure 6's arms on one small benchmark
+// through the engine's trace replay and through the live-emulation
+// reference (sim.SimulateLive), and requires byte-identical encoded
+// outcomes arm by arm. The arms cover baseline and mini-graph machines,
+// integer and integer-memory policies, and collapsing variants, so both
+// the unrewritten and rewritten capture paths are exercised.
 func TestReplayMatchesLiveStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulations in -short mode")
 	}
-	run := func(live bool) []byte {
-		o := subsetOpts()
-		o.Benchmarks = []string{"sha"}
-		o.Engine = sim.New(0).WithLiveStream(live)
-		a, err := experiments.Run("fig6", o)
-		if err != nil {
-			t.Fatal(err)
+	o := experiments.DefaultOptions()
+	pk := sim.PrepareKey{Bench: "sha", Input: workload.InputTrain}
+	jobs := []sim.SimJob{sim.Baseline(pk, uarch.Baseline())}
+	for _, intMem := range []bool{false, true} {
+		for _, collapse := range []bool{false, true} {
+			pol := core.DefaultPolicy()
+			pol.MaxSize = o.MaxSize
+			pol.AllowMem = intMem
+			cfg := uarch.MiniGraph(intMem)
+			cfg.Collapse = collapse
+			jobs = append(jobs, sim.SimJob{Prepare: pk, Policy: pol, Entries: o.MGTEntries, Config: cfg})
 		}
-		data, err := a.Report.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
 	}
-	liveRep := run(true)
-	replayRep := run(false)
-	if !bytes.Equal(liveRep, replayRep) {
-		t.Errorf("live and replay reports differ (%d vs %d bytes), first divergence near byte %d",
-			len(liveRep), len(replayRep), firstDiff(liveRep, replayRep))
+
+	eng := sim.New(0)
+	replayed, err := eng.Run(t.Context(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := eng.Prepare(t.Context(), pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]*sim.Outcome, len(jobs))
+	if err := eng.Each(t.Context(), len(jobs), func(ctx context.Context, i int) (err error) {
+		live[i], err = sim.SimulateLive(ctx, pr, jobs[i])
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		want, err := sim.EncodeOutcome(live[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.EncodeOutcome(replayed[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s (baseline=%v mem=%v collapse=%v): replay and live outcomes differ (%d vs %d bytes), first divergence near byte %d",
+				job.Config.Name, job.Baseline, job.Policy.AllowMem, job.Config.Collapse, len(got), len(want), firstDiff(got, want))
+		}
 	}
 }
 
